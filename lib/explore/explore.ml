@@ -468,13 +468,19 @@ module Make (A : Sim.Automaton.S) = struct
     traces : Kset.t;
   }
 
-  let cov_create () =
+  (* Initial table sizes, each capped by how many keys [runs] runs of
+     at most [max_steps] steps can insert: a campaign of many small
+     batches holds every per-batch tracker until the merge, and
+     full-size tables per batch would make its memory grow with the
+     batch count. The merged tracker takes the defaults. *)
+  let cov_create ?(runs = max_int) ?(max_steps = max_int) () =
+    let sized cap bound = Kset.create (max 1 (min cap bound)) in
     {
-      states = Kset.create 4096;
-      depths = Kset.create 64;
-      shapes = Kset.create 1024;
-      sigs = Kset.create 64;
-      traces = Kset.create 1024;
+      states = sized 4096 (min 4096 runs * min 4096 max_steps);
+      depths = sized 64 (min runs max_steps);
+      shapes = sized 1024 runs;
+      sigs = sized 64 runs;
+      traces = sized 1024 runs;
     }
 
   let cov_add tbl key = ignore (Kset.add_new tbl key : bool)
@@ -553,12 +559,19 @@ module Make (A : Sim.Automaton.S) = struct
            |> stabilize bc step
          in
          (* Self-loop moves neither change state nor coverage; a run
-            with only self-loop moves left has quiesced. *)
+            with only self-loop moves left has quiesced. Only the moves
+            that can be self-loops are stepped before the draw; the
+            rest enter unapplied, and the drawn one is applied after.
+            The samplers read only the move, so the draw does not
+            depend on which candidates were applied. *)
          let cands =
            List.filter_map
              (fun mv ->
-               let cfg' = S.apply ~n !cfg mv in
-               if S.equal cfg' !cfg then None else Some (mv, cfg'))
+               if not (S.may_self_loop mv) then Some (mv, None)
+               else
+                 match S.step ~n !cfg mv with
+                 | None -> None
+                 | Some cfg' -> Some (mv, Some cfg'))
              enabled
          in
          if cands = [] then (
@@ -569,7 +582,7 @@ module Make (A : Sim.Automaton.S) = struct
            | None -> weighted_pick ~prev:!prev rng cands
            | Some pct -> pct_pick pct rng ~step cands
          in
-         cfg := cfg';
+         cfg := (match cfg' with Some c -> c | None -> S.apply ~n !cfg mv);
          prev := mv.m_pid;
          moves := mv :: !moves;
          incr steps;
@@ -655,7 +668,7 @@ module Make (A : Sim.Automaton.S) = struct
     let bc = bc_of ~n ~seed ~base ~swarm b in
     let start = b * batch_size in
     let in_batch = min batch_size (runs - start) in
-    let cov = cov_create () in
+    let cov = cov_create ~runs:in_batch ~max_steps () in
     let steps_total = ref 0 in
     let decided_runs = ref 0 in
     let quiesced_runs = ref 0 in

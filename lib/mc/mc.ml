@@ -712,6 +712,38 @@ module Make (A : Sim.Automaton.S) = struct
     { states; chans }
     end
 
+  (* A drop, or a receive on a channel src -> p with src <> p, takes a
+     message off a channel that the stepping process cannot append to
+     (p only sends on p -> _), so the child's queue there is strictly
+     shorter: never a self-loop. Only lambdas and self-receives can
+     leave the configuration unchanged. *)
+  let may_self_loop mv =
+    match mv.m_recv with
+    | None -> true
+    | Some (src, _) -> (not mv.m_drop) && Pid.equal src mv.m_pid
+
+  (* [apply] copies [states] touching only slot [m_pid], and copies
+     [chans] only when the move consumed or sent, rewriting only the
+     consumed and sent-to slots — so the self-loop test compares one
+     state slot and, per channel, falls back to a structural compare
+     only where the slot is not physically shared. Polymorphic [=]
+     does not short-circuit on shared subterms, so comparing the whole
+     config would walk every state and every queue. *)
+  let step ~n cfg mv =
+    let child = apply ~n cfg mv in
+    if not (may_self_loop mv) then Some child
+    else
+      let p = mv.m_pid in
+      let rec chans_equal c =
+        c < 0
+        || (let a = child.chans.(c) and b = cfg.chans.(c) in
+            a == b || a = b)
+           && chans_equal (c - 1)
+      in
+      if chans_equal ((n * n) - 1) && child.states.(p) = cfg.states.(p)
+      then None
+      else Some child
+
   (* -------------------------------------------------------------- *)
   (* Exploration                                                     *)
   (* -------------------------------------------------------------- *)
@@ -1101,19 +1133,9 @@ module Make (A : Sim.Automaton.S) = struct
               && Noop_tbl.mem noop (mv.m_pid, state_ix hc mv.m_pid, mv.m_fd)
             then incr self_loops
             else begin
-              let child = apply ~n cfg mv in
               incr transitions;
-              (* [apply] shares [chans] physically exactly when the
-                 move neither consumed nor sent, and copies [states]
-                 touching only slot [m_pid] — so the self-loop test
-                 compares one state slot on that fast path instead of
-                 the whole config *)
-              let is_self_loop =
-                if child.chans == cfg.chans then
-                  child.states.(mv.m_pid) = cfg.states.(mv.m_pid)
-                else child.states = cfg.states && child.chans = cfg.chans
-              in
-              if is_self_loop then begin
+              match step ~n cfg mv with
+              | None ->
                 (* self-loop (e.g. a lambda step whose detector value
                    unlocks nothing): no new state, and every move
                    enabled at the child is enabled here — skip *)
@@ -1122,17 +1144,15 @@ module Make (A : Sim.Automaton.S) = struct
                   Noop_tbl.replace noop
                     (mv.m_pid, state_ix hc mv.m_pid, mv.m_fd)
                     ()
-              end
-              else begin
-              let child_slept =
-                inherit_slept ~reduction ~lossy ~races ~backtracks ~n
-                  ~explored:ex ~slept:sl mv
-              in
-              dfs child (hconfig child) (remaining - 1)
-                (if mv.m_drop then drops - 1 else drops)
-                child_slept (mv :: path_rev);
-              if sleep then Sibs.add ~n ex mv
-              end
+              | Some child ->
+                let child_slept =
+                  inherit_slept ~reduction ~lossy ~races ~backtracks ~n
+                    ~explored:ex ~slept:sl mv
+                in
+                dfs child (hconfig child) (remaining - 1)
+                  (if mv.m_drop then drops - 1 else drops)
+                  child_slept (mv :: path_rev);
+                if sleep then Sibs.add ~n ex mv
             end)
           all
       in
@@ -1444,16 +1464,15 @@ module Make (A : Sim.Automaton.S) = struct
                    (mv.m_pid, cfg.states.(mv.m_pid), mv.m_fd)
             then incr self_loops.(w)
             else begin
-              let child = apply ~n cfg mv in
               incr transitions.(w);
-              if child.states = cfg.states && child.chans = cfg.chans then begin
+              match step ~n cfg mv with
+              | None ->
                 incr self_loops.(w);
                 if dpor && mv.m_recv = None then
                   Hashtbl.replace noops.(w)
                     (mv.m_pid, cfg.states.(mv.m_pid), mv.m_fd)
                     ()
-              end
-              else begin
+              | Some child ->
                 let child_slept =
                   inherit_slept ~reduction ~lossy ~races:races.(w)
                     ~backtracks:backtracks.(w) ~n ~explored:ex ~slept:sl mv
@@ -1462,7 +1481,6 @@ module Make (A : Sim.Automaton.S) = struct
                   (if mv.m_drop then drops - 1 else drops)
                   child_slept (mv :: path_rev);
                 if sleep then Sibs.add ~n ex mv
-              end
             end)
           all
       end
@@ -1702,6 +1720,8 @@ module Make (A : Sim.Automaton.S) = struct
         && i < List.length cfg.chans.((src * n) + mv.m_pid)
 
     let apply = apply
+    let step = step
+    let may_self_loop = may_self_loop
     let concretize = concretize
   end
 

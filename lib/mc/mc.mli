@@ -396,8 +396,8 @@ module Make (A : Sim.Automaton.S) : sig
     val state : config -> Pid.t -> A.state
 
     val equal : config -> config -> bool
-    (** Structural equality — in particular [equal (apply cfg mv) cfg]
-        detects a self-loop move. *)
+    (** Structural equality. It walks every state and every queue; to
+        test a move for a self-loop use {!step}. *)
 
     val key : config -> int
     (** The canonical-state hash (the one memoization buckets on);
@@ -423,6 +423,22 @@ module Make (A : Sim.Automaton.S) : sig
 
     val apply : n:int -> config -> move -> config
     (** Applies one move. The move must be {!applicable}. *)
+
+    val step : n:int -> config -> move -> config option
+    (** [apply], or [None] when the move is a self-loop: [step ~n cfg mv]
+        is [None] iff [equal (apply ~n cfg mv) cfg], and otherwise
+        [Some c] with [equal c (apply ~n cfg mv)]. It compares only
+        what [apply] can have changed — slot [m_pid] and the channels
+        not physically shared with [cfg] — so it costs a fraction of
+        [equal]. The checker's walkers and the fuzzer both detect
+        self-loops with it. *)
+
+    val may_self_loop : move -> bool
+    (** Whether the move can be a self-loop at all: lambdas and
+        receives on the process's own channel. A drop, or a receive
+        from another process, always shortens a channel the stepping
+        process cannot append to, so {!step} never returns [None] for
+        it. *)
 
     val concretize :
       n:int ->

@@ -123,6 +123,181 @@ let test_samplers_differ () =
        <> rp.Ex.totals.Explore.distinct_states)
 
 (* ---------------------------------------------------------------- *)
+(* Cross-commit golden                                              *)
+(* ---------------------------------------------------------------- *)
+
+(* The byte-determinism tests above compare a build with itself; this
+   one pins a small seeded A_nuc swarm campaign to recorded figures,
+   so a change to the sampler's draws, the candidate list, the move
+   alphabet or the coverage keys fails here instead of passing
+   silently. A change that legitimately moves the figures must say
+   why and re-record them. *)
+module Ax = Explore.Make (Core.Anuc)
+
+let golden_campaign () =
+  let n = 4 and faulty = Pset.singleton 3 in
+  let max_steps = 60 * n in
+  let proposals p = if Pset.mem p faulty then 1 else 0 in
+  let pattern = Sim.Failure_pattern.make ~n ~crashes:[ (3, max_steps + 1) ] in
+  let menu = Mc.Menu.contamination ~plus:true ~n ~faulty () in
+  let swarm =
+    {
+      Explore.sw_menus =
+        [
+          menu;
+          Mc.Menu.lossy ~plus:true ~n ~faulty ();
+          Mc.Menu.omega_sigma_nu_plus ~n ~faulty;
+        ];
+      sw_budgets = [ 0; 1; 2 ];
+      sw_stabs = [ max_steps / 3; max_steps ];
+      sw_samplers = [ Explore.Uniform; Pct 2; Pct 3 ];
+    }
+  in
+  let props =
+    Ax.M.consensus_props ~decision:Core.Anuc.decision ~proposals
+      ~flavour:Consensus.Spec.Nonuniform ~pattern
+  in
+  let stop =
+    Ax.M.decided_stop ~decision:Core.Anuc.decision
+      ~scope:(Sim.Failure_pattern.correct pattern)
+  in
+  Ax.fuzz ~algo:"anuc" ~swarm ~batch_size:10 ~max_steps ~stop
+    ~decided:(fun st -> Core.Anuc.decision st <> None)
+    ~seed:7 ~runs:40 ~n ~menu ~pattern ~inputs:proposals ~props ()
+
+let test_golden_anuc_swarm () =
+  let r = golden_campaign () in
+  let t = r.Ax.totals in
+  let json = Report.to_string (Ax.json_of_report r) in
+  Alcotest.(check (list int))
+    "totals (states, depths, shapes, sigs, traces)" [ 6816; 29; 35; 11; 39 ]
+    [
+      t.Explore.distinct_states;
+      t.Explore.decision_depths;
+      t.Explore.quorum_shapes;
+      t.Explore.fault_signatures;
+      t.Explore.canonical_traces;
+    ];
+  Alcotest.(check int) "steps_total" 8874 r.Ax.steps_total;
+  Alcotest.(check int) "decided_runs" 12 r.Ax.decided_runs;
+  Alcotest.(check bool) "no violation" true (r.Ax.violation = None);
+  Alcotest.(check string) "JSON digest" "a5486d25dbcdc36bec9c0c5145eea857"
+    (Digest.to_hex (Digest.string json))
+
+(* ---------------------------------------------------------------- *)
+(* The shared self-loop test                                        *)
+(* ---------------------------------------------------------------- *)
+
+(* [Space.step] against its definition, at every enabled move of a
+   random A_nuc schedule: [None] exactly when [apply] reaches an
+   [equal] configuration, otherwise [apply]'s configuration; and a
+   move outside [may_self_loop] (a drop or a cross-process receive)
+   is never a self-loop — the premise that lets the fuzzer leave those
+   moves unapplied until drawn. *)
+module Sp = Ax.M.Space
+
+let self_loop_menus ~n =
+  let faulty = Pset.of_list (List.init ((n - 1) / 2) (fun i -> n - 1 - i)) in
+  [
+    Mc.Menu.contamination ~plus:true ~n ~faulty ();
+    Mc.Menu.lossy ~plus:true ~n ~faulty ();
+    Mc.Menu.omega_sigma_nu_plus ~n ~faulty;
+  ]
+
+(* Walks a random schedule of [len] moves and calls [check cfg mv] on
+   every enabled move along the way; the walk itself only takes moves
+   that change the configuration. *)
+let walk_checking rng ~n ~menu ~delivery ~len check =
+  let menus = Array.init n (fun p -> menu.Mc.Menu.values p) in
+  let inputs = Array.init n (fun _ -> Random.State.int rng 2) in
+  let rec go cfg k =
+    if k > 0 then
+      let progress =
+        List.filter_map
+          (fun mv ->
+            check cfg mv;
+            Sp.step ~n cfg mv)
+          (Sp.enabled ~n ~delivery ~lossy:menu.Mc.Menu.lossy ~menus cfg)
+      in
+      match progress with
+      | [] -> ()
+      | l -> go (List.nth l (Random.State.int rng (List.length l))) (k - 1)
+  in
+  go (Sp.initial ~n ~inputs:(Array.get inputs)) len
+
+let qtest_step_matches_apply =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"step agrees with apply + equal" ~count:40
+       QCheck.(quad small_nat (int_range 3 5) (int_bound 2) bool)
+       (fun (seed, n, menu_ix, fifo) ->
+         let rng = Random.State.make [| 0x57E9; seed; n; menu_ix |] in
+         let menu = List.nth (self_loop_menus ~n) menu_ix in
+         let delivery = if fifo then `Fifo else `Any in
+         let ok = ref true in
+         walk_checking rng ~n ~menu ~delivery ~len:25 (fun cfg mv ->
+             let applied = Sp.apply ~n cfg mv in
+             let loop = Sp.equal applied cfg in
+             let agrees =
+               match Sp.step ~n cfg mv with
+               | None -> loop
+               | Some c -> (not loop) && Sp.equal c applied
+             in
+             if not (agrees && (Sp.may_self_loop mv || not loop)) then
+               ok := false);
+         !ok))
+
+(* A_nuc never self-loops on a self-receive: the one message it sends
+   to itself alone is the Ack answering a Saw, never the message it
+   consumed. So the self-receive self-loop is pinned on a two-rule
+   echo automaton: its first lambda sends Ping to itself and to its
+   successor, and a Ping from itself is answered with the same Ping,
+   leaving the self channel as it was. *)
+module Echo = struct
+  type input = unit
+  type state = bool (* has sent *)
+  type message = Ping
+
+  let name = "echo"
+  let initial ~n:_ ~self:_ () = false
+
+  let step ~n ~self sent received _ =
+    match (received : message Sim.Envelope.t option) with
+    | None when not sent -> (true, [ (self, Ping); ((self + 1) mod n, Ping) ])
+    | Some { Sim.Envelope.src; _ } when Pid.equal src self ->
+      (sent, [ (self, Ping) ])
+    | None | Some _ -> (sent, [])
+
+  let pp_message fmt Ping = Format.pp_print_string fmt "Ping"
+  let equal_message Ping Ping = true
+end
+
+module M_echo = Mc.Make (Echo)
+
+let test_self_receive_self_loop () =
+  let n = 2 in
+  let module S = M_echo.Space in
+  let mv pid m_recv =
+    { M_echo.m_pid = pid; m_fd = Sim.Fd_value.Unit; m_recv; m_drop = false }
+  in
+  let cfg = S.apply ~n (S.initial ~n ~inputs:(fun _ -> ())) (mv 0 None) in
+  let is_loop m =
+    let loop = S.step ~n cfg m = None in
+    Alcotest.(check bool) "step agrees with apply + equal"
+      (S.equal (S.apply ~n cfg m) cfg) loop;
+    loop
+  in
+  Alcotest.(check bool) "self-receive is a self-loop" true
+    (is_loop (mv 0 (Some (0, 0))));
+  Alcotest.(check bool) "second lambda is a self-loop" true
+    (is_loop (mv 0 None));
+  Alcotest.(check bool) "first lambda of p1 is not" false
+    (is_loop (mv 1 None));
+  Alcotest.(check bool) "cross receive is not" false
+    (is_loop (mv 1 (Some (0, 0))));
+  Alcotest.(check bool) "cross receive is outside the class" false
+    (S.may_self_loop (mv 1 (Some (0, 0))))
+
+(* ---------------------------------------------------------------- *)
 (* Swarm rotation and the coverage curve                            *)
 (* ---------------------------------------------------------------- *)
 
@@ -294,6 +469,14 @@ let () =
           Alcotest.test_case "seeds decorrelated" `Quick test_seeds_decorrelated;
           Alcotest.test_case "samplers sample differently" `Quick
             test_samplers_differ;
+          Alcotest.test_case "A_nuc swarm campaign matches its golden"
+            `Quick test_golden_anuc_swarm;
+        ] );
+      ( "self-loop",
+        [
+          qtest_step_matches_apply;
+          Alcotest.test_case "a self-receive can be a self-loop" `Quick
+            test_self_receive_self_loop;
         ] );
       ( "swarm-coverage",
         [
