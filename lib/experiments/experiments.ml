@@ -2210,7 +2210,7 @@ let b12_packed_pipeline ~depth () =
   let tbl = B12_bytes_tbl.create 1024 in
   let acc = ref [] in
   let visit cfg =
-    let b = Mc_anuc.Packed.encode pool cfg in
+    let b = Mc_anuc.Packed.(bytes (encode pool cfg)) in
     let k = Mc.Intern.hashed Mc.Codec.bytes_hash b in
     if B12_bytes_tbl.mem tbl k then false
     else begin

@@ -7,12 +7,12 @@
    - varints: LEB128 unsigned integers, the only number format the
      packed encoding uses — pool indices and channel lengths are
      small, so most fields cost one byte;
-   - interning pools: structural-hash dictionaries mapping distinct
-     values (process states, message payloads) to dense indices, with
-     the inverse array for decoding. A campaign sees few distinct
-     per-process states relative to distinct configurations, which is
-     what makes index-per-slot encodings ~10x smaller than the heap
-     graphs they replace;
+   - interning pools: deep-structural-hash dictionaries mapping
+     distinct values (process states, message payloads) to dense
+     indices, with the inverse array for decoding. A campaign sees few
+     distinct per-process states relative to distinct configurations,
+     which is what makes index-per-slot encodings ~10x smaller than
+     the heap graphs they replace;
    - the checkpoint container: magic + schema version + MD5 digest +
      [Marshal] payload, with every validation step (magic, version,
      digest) performed *before* [Marshal.from_bytes] ever runs, so a
@@ -74,24 +74,39 @@ let read_varint b pos =
 (* ---------------------------------------------------------------- *)
 
 module Pool = struct
-  (* Distinct values to dense indices, first-seen order. The forward
-     map is a structural-hash [Hashtbl] (OCaml's polymorphic hash on
-     the same pure-data values the checker already hashes); two
-     crafted hash-colliding values share a bucket but keep distinct
-     indices, because bucket membership is resolved by structural
-     equality — the same collision backstop as the interned tables
-     (pinned in test_codec.ml). *)
+  (* Distinct values to dense indices, first-seen order. Each value is
+     hashed once per intern with the checker's deep structural hash
+     ([Hashtbl.hash_param 150 600], the depth of [config_hash]); the
+     forward map binds that hash to each index carrying it, and
+     structural equality against [arr] resolves a shared hash — so two
+     crafted hash-colliding values keep distinct indices (pinned in
+     test_codec.ml). The polymorphic [Hashtbl]'s own hash reads only
+     10 meaningful words, which puts Map-laden automaton states on a
+     handful of long bucket chains. The table holds one 4-word binding
+     per value, as a value-keyed [Hashtbl] would, so B12's retained
+     bytes do not depend on the hash. *)
+  module Ix = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash h = h
+  end)
+
   type 'a t = {
-    ix : ('a, int) Hashtbl.t;
+    ix : int Ix.t;  (* deep hash -> index, one binding per value *)
     mutable arr : 'a array;
     mutable len : int;
   }
 
-  let create () = { ix = Hashtbl.create 256; arr = [||]; len = 0 }
+  let create () = { ix = Ix.create 256; arr = [||]; len = 0 }
   let length p = p.len
 
   let intern p v =
-    match Hashtbl.find_opt p.ix v with
+    let h = Hashtbl.hash_param 150 600 v in
+    (* [compare] short-circuits on physically shared subterms *)
+    match
+      List.find_opt (fun i -> compare p.arr.(i) v = 0) (Ix.find_all p.ix h)
+    with
     | Some i -> i
     | None ->
       let i = p.len in
@@ -103,7 +118,7 @@ module Pool = struct
       end;
       p.arr.(i) <- v;
       p.len <- i + 1;
-      Hashtbl.add p.ix v i;
+      Ix.add p.ix h i;
       i
 
   let get p i =

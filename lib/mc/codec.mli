@@ -18,9 +18,11 @@ val read_varint : Bytes.t -> int ref -> int
     an input error. *)
 
 (** Interning pools: distinct values to dense first-seen indices, with
-    the inverse array for decoding. Structural hashing with structural
-    equality as the bucket resolver, so crafted hash collisions get
-    distinct indices (pinned in test_codec.ml). *)
+    the inverse array for decoding. Each intern hashes the value once
+    with the checker's deep structural hash
+    ([Hashtbl.hash_param 150 600]), and structural equality resolves
+    values sharing a hash, so crafted hash collisions get distinct
+    indices (pinned in test_codec.ml). *)
 module Pool : sig
   type 'a t
 

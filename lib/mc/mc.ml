@@ -514,31 +514,72 @@ module Make (A : Sim.Automaton.S) = struct
     let export_pools p =
       (Codec.Pool.export p.pk_states, Codec.Pool.export p.pk_msgs)
 
-    let encode p cfg =
+    (* A config's pool indices slot by slot, kept on the walkers' DFS
+       path (never in the visited set) so a child encodes from its
+       parent's: [sx.(p)] is state [p]'s index, [mx.(c)] channel [c]'s
+       message indices in queue order. *)
+    type image = { bytes : Bytes.t; sx : int array; mx : int list array }
+
+    let bytes im = im.bytes
+
+    (* [~parent:(pc, pim)] reuses [pim]'s index for every slot the
+       child shares physically with [pc] — [apply] shares untouched
+       slots (DESIGN.md §5c) — and walks a changed channel against
+       the parent's queue, so only what the move produced is
+       interned. Reuse needs [==], which implies the structural
+       equality an index stands for; anything else is interned, so
+       sharing is a fast path, never an assumption. Interns run in
+       the from-scratch order (states in pid order, then channels
+       ascending, queue order within one) and skip only values the
+       parent already pooled, so pool contents, indices and bytes are
+       those of the parent-less encode, which is this same walk
+       against nothing. *)
+    let encode ?parent p cfg =
       Mutex.lock p.pk_lock;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock p.pk_lock)
         (fun () ->
           let n = p.pk_n in
+          let sx =
+            Array.init n (fun i ->
+                match parent with
+                | Some (pc, pim) when cfg.states.(i) == pc.states.(i) ->
+                  pim.sx.(i)
+                | _ -> Codec.Pool.intern p.pk_states cfg.states.(i))
+          in
+          (* a surviving message sits further down the parent's queue
+             (past a consumed one); one not found there is new *)
+          let rec walk q pq pix =
+            match (q, pq, pix) with
+            | [], _, _ -> []
+            | m :: rest, m' :: pq', i :: pix' when m == m' ->
+              i :: walk rest pq' pix'
+            | m :: _, _ :: pq', _ :: pix' when List.memq m pq' -> walk q pq' pix'
+            | m :: rest, _, _ ->
+              let i = Codec.Pool.intern p.pk_msgs m in
+              i :: walk rest pq pix
+          in
+          let mx =
+            Array.init (n * n) (fun c ->
+                match parent with
+                | Some (pc, pim) when cfg.chans.(c) == pc.chans.(c) ->
+                  pim.mx.(c)
+                | Some (pc, pim) -> walk cfg.chans.(c) pc.chans.(c) pim.mx.(c)
+                | None -> walk cfg.chans.(c) [] [])
+          in
           let buf = Buffer.create 64 in
-          Array.iter
-            (fun st -> Codec.write_varint buf (Codec.Pool.intern p.pk_states st))
-            cfg.states;
-          let nonempty = ref 0 in
-          Array.iter (fun q -> if q <> [] then incr nonempty) cfg.chans;
-          Codec.write_varint buf !nonempty;
-          for c = 0 to (n * n) - 1 do
-            match cfg.chans.(c) with
-            | [] -> ()
-            | q ->
-              Codec.write_varint buf c;
-              Codec.write_varint buf (List.length q);
-              List.iter
-                (fun m ->
-                  Codec.write_varint buf (Codec.Pool.intern p.pk_msgs m))
-                q
-          done;
-          Buffer.to_bytes buf)
+          Array.iter (Codec.write_varint buf) sx;
+          Codec.write_varint buf
+            (Array.fold_left (fun k ix -> if ix = [] then k else k + 1) 0 mx);
+          Array.iteri
+            (fun c ix ->
+              if ix <> [] then begin
+                Codec.write_varint buf c;
+                Codec.write_varint buf (List.length ix);
+                List.iter (Codec.write_varint buf) ix
+              end)
+            mx;
+          { bytes = Buffer.to_bytes buf; sx; mx })
 
     let decode p b =
       Mutex.lock p.pk_lock;
@@ -1082,20 +1123,6 @@ module Make (A : Sim.Automaton.S) = struct
     let noop = Noop_tbl.create 1024 in
     let visited = Tbl.create 65536 in
     let pool = Packed.create ~n in
-    (* one packed encode + full-width hash per transition, computed at
-       the parent and reused at the child's node; the table retains
-       only the packed bytes *)
-    let hconfig cfg = Intern.hashed Codec.bytes_hash (Packed.encode pool cfg) in
-    (* the packed layout leads with the n state pool indices, so the
-       parent's own key yields [states.(p)]'s index — the cheap [noop]
-       key that replaces hashing the state structurally per probe *)
-    let state_ix (hc : Bytes.t Intern.hashed) p =
-      let pos = ref 0 in
-      for _ = 1 to p do
-        ignore (Codec.read_varint hc.Intern.iv pos)
-      done;
-      Codec.read_varint hc.Intern.iv pos
-    in
     let transitions = ref 0
     and dedup_hits = ref 0
     and self_loops = ref 0
@@ -1114,8 +1141,13 @@ module Make (A : Sim.Automaton.S) = struct
           | Error d -> raise (Found (pr.prop_name, d, List.rev path_rev)))
         props
     in
-    let rec dfs cfg hc remaining drops slept path_rev =
+    (* [im] is the node's packed image, encoded from its parent's;
+       the table retains only its bytes, hashed once here. Its state
+       indices are the [noop] key, so a probe never hashes a process
+       state structurally. *)
+    let rec dfs cfg (im : Packed.image) remaining drops slept path_rev =
       if depth - remaining > !max_depth then max_depth := depth - remaining;
+      let hc = Intern.hashed Codec.bytes_hash im.bytes in
       let expand_with slept =
         (* the drop alphabet switches off once the path's loss budget
            is spent *)
@@ -1130,7 +1162,7 @@ module Make (A : Sim.Automaton.S) = struct
             else if
               dpor
               && mv.m_recv = None
-              && Noop_tbl.mem noop (mv.m_pid, state_ix hc mv.m_pid, mv.m_fd)
+              && Noop_tbl.mem noop (mv.m_pid, im.sx.(mv.m_pid), mv.m_fd)
             then incr self_loops
             else begin
               incr transitions;
@@ -1141,15 +1173,15 @@ module Make (A : Sim.Automaton.S) = struct
                    enabled at the child is enabled here — skip *)
                 incr self_loops;
                 if dpor && mv.m_recv = None then
-                  Noop_tbl.replace noop
-                    (mv.m_pid, state_ix hc mv.m_pid, mv.m_fd)
-                    ()
+                  Noop_tbl.replace noop (mv.m_pid, im.sx.(mv.m_pid), mv.m_fd) ()
               | Some child ->
                 let child_slept =
                   inherit_slept ~reduction ~lossy ~races ~backtracks ~n
                     ~explored:ex ~slept:sl mv
                 in
-                dfs child (hconfig child) (remaining - 1)
+                dfs child
+                  (Packed.encode ~parent:(cfg, im) pool child)
+                  (remaining - 1)
                   (if mv.m_drop then drops - 1 else drops)
                   child_slept (mv :: path_rev);
                 if sleep then Sibs.add ~n ex mv
@@ -1192,7 +1224,7 @@ module Make (A : Sim.Automaton.S) = struct
     let root = initial_config ~n ~inputs in
     let violation =
       try
-        dfs root (hconfig root) depth max_drops [] [];
+        dfs root (Packed.encode pool root) depth max_drops [] [];
         None
       with
       | Limit -> None
@@ -1275,7 +1307,7 @@ module Make (A : Sim.Automaton.S) = struct
       fp_menu = menu.Menu.name;
       fp_root =
         Codec.bytes_hash
-          (Packed.encode (Packed.create ~n) (initial_config ~n ~inputs));
+          (Packed.encode (Packed.create ~n) (initial_config ~n ~inputs)).bytes;
     }
 
   (* Load + validate: the container layer ([Codec.read_file]) rejects
@@ -1304,7 +1336,7 @@ module Make (A : Sim.Automaton.S) = struct
           Codec.bytes_hash b = ih
           &&
           match Packed.decode pool b with
-          | cfg -> Bytes.equal (Packed.encode pool cfg) b
+          | cfg -> Bytes.equal (Packed.encode pool cfg).bytes b
           | exception _ -> false
         in
         if Array.for_all verify c.ck_visited then Ok (c, pool)
@@ -1381,9 +1413,6 @@ module Make (A : Sim.Automaton.S) = struct
     let pool =
       match resumed with Some (_, p) -> p | None -> Packed.create ~n
     in
-    let hconfig cfg =
-      Intern.hashed Codec.bytes_hash (Packed.encode pool cfg)
-    in
     let violation = Atomic.make None in
     let truncated = Atomic.make false in
     let halt = Atomic.make false in
@@ -1421,12 +1450,9 @@ module Make (A : Sim.Automaton.S) = struct
     (* per-worker no-op caches: redundant discovery across domains
        instead of a shared locked table — the cache is a pure
        memo of [A.step], so divergence between workers only costs
-       repeated first encounters, never soundness *)
-    let noops =
-      Array.init nw (fun _ ->
-          (Hashtbl.create 1024
-            : (Pid.t * A.state * Sim.Fd_value.t, unit) Hashtbl.t))
-    in
+       repeated first encounters, never soundness. Keyed like the
+       sequential walker's, by the shared pool's state index. *)
+    let noops = Array.init nw (fun _ -> Noop_tbl.create 1024) in
     let spawn_depth = max 1 (min 2 (depth - 1)) in
     let stopped cfg =
       match stop with Some f -> f (fun p -> cfg.states.(p)) | None -> false
@@ -1445,7 +1471,8 @@ module Make (A : Sim.Automaton.S) = struct
        expand in place. A queued task resumes exactly at the
        expansion step — its node is already in the table, claiming
        the coverage the task will perform. *)
-    let rec expand ~w ~sink cfg remaining drops slept path_rev =
+    let rec expand ~w ~sink cfg (im : Packed.image) remaining drops slept
+        path_rev =
       if sink && depth - remaining >= spawn_depth then
         frontier := (cfg, remaining, drops, slept, path_rev) :: !frontier
       else begin
@@ -1460,8 +1487,7 @@ module Make (A : Sim.Automaton.S) = struct
             else if
               dpor
               && mv.m_recv = None
-              && Hashtbl.mem noops.(w)
-                   (mv.m_pid, cfg.states.(mv.m_pid), mv.m_fd)
+              && Noop_tbl.mem noops.(w) (mv.m_pid, im.sx.(mv.m_pid), mv.m_fd)
             then incr self_loops.(w)
             else begin
               incr transitions.(w);
@@ -1469,26 +1495,28 @@ module Make (A : Sim.Automaton.S) = struct
               | None ->
                 incr self_loops.(w);
                 if dpor && mv.m_recv = None then
-                  Hashtbl.replace noops.(w)
-                    (mv.m_pid, cfg.states.(mv.m_pid), mv.m_fd)
+                  Noop_tbl.replace noops.(w)
+                    (mv.m_pid, im.sx.(mv.m_pid), mv.m_fd)
                     ()
               | Some child ->
                 let child_slept =
                   inherit_slept ~reduction ~lossy ~races:races.(w)
                     ~backtracks:backtracks.(w) ~n ~explored:ex ~slept:sl mv
                 in
-                pdfs ~w ~sink child (remaining - 1)
+                pdfs ~w ~sink child
+                  (Packed.encode ~parent:(cfg, im) pool child)
+                  (remaining - 1)
                   (if mv.m_drop then drops - 1 else drops)
                   child_slept (mv :: path_rev);
                 if sleep then Sibs.add ~n ex mv
             end)
           all
       end
-    and pdfs ~w ~sink cfg remaining drops slept path_rev =
+    and pdfs ~w ~sink cfg (im : Packed.image) remaining drops slept path_rev =
       if Atomic.get halt then raise Limit;
       if depth - remaining > !(max_depths.(w)) then
         max_depths.(w) := depth - remaining;
-      let hc = hconfig cfg in
+      let hc = Intern.hashed Codec.bytes_hash im.bytes in
       (* the same domination/update logic as the sequential walker,
          run under the stripe lock so the entry mutation is atomic *)
       let revisit e =
@@ -1499,17 +1527,18 @@ module Make (A : Sim.Automaton.S) = struct
       let act = function
         | `Absorbed -> incr dedup_hits.(w)
         | `Expand slept' ->
-          if remaining > 0 then expand ~w ~sink cfg remaining drops slept' path_rev
+          if remaining > 0 then
+            expand ~w ~sink cfg im remaining drops slept' path_rev
           else incr depth_leaves.(w)
         | `Known ->
           (* dedup off: nothing is absorbed; re-explore the revisit *)
           if stopped cfg then incr decided_leaves.(w)
           else if remaining = 0 then incr depth_leaves.(w)
-          else expand ~w ~sink cfg remaining drops slept path_rev
+          else expand ~w ~sink cfg im remaining drops slept path_rev
         | `Decided -> incr decided_leaves.(w)
         | `Inserted ->
           if remaining = 0 then incr depth_leaves.(w)
-          else expand ~w ~sink cfg remaining drops slept path_rev
+          else expand ~w ~sink cfg im remaining drops slept path_rev
         | `Full ->
           Atomic.set truncated true;
           Atomic.set halt true;
@@ -1564,7 +1593,9 @@ module Make (A : Sim.Automaton.S) = struct
       match resumed with
       | Some (c, _) -> (c.ck_tasks, c.ck_next)
       | None ->
-        guard (fun () -> pdfs ~w:0 ~sink:true root depth max_drops [] []);
+        guard (fun () ->
+            pdfs ~w:0 ~sink:true root (Packed.encode pool root) depth max_drops
+              [] []);
         (Array.of_list (List.rev !frontier), 0)
     in
     let ntasks = Array.length tasks in
@@ -1605,8 +1636,8 @@ module Make (A : Sim.Automaton.S) = struct
       if not (Atomic.get halt) then begin
         let cfg, remaining, drops, slept, path_rev = tasks.(i) in
         guard (fun () ->
-            expand ~w:(worker + 1) ~sink:false cfg remaining drops slept
-              path_rev)
+            expand ~w:(worker + 1) ~sink:false cfg (Packed.encode pool cfg)
+              remaining drops slept path_rev)
       end
     in
     (if not ckpt_mode then

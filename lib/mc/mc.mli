@@ -466,14 +466,27 @@ module Make (A : Sim.Automaton.S) : sig
 
     val create : n:int -> pool
 
-    val encode : pool -> Space.config -> Bytes.t
+    type image
+    (** An encoded configuration: its packed bytes plus its pool
+        indices slot by slot, from which a child encodes. *)
+
+    val bytes : image -> Bytes.t
+
+    val encode : ?parent:Space.config * image -> pool -> Space.config -> image
     (** Injective with respect to {!Space.equal} under one pool:
-        [Bytes.equal (encode p a) (encode p b)] iff [Space.equal a b] —
-        which is why distinct states (crafted hash collisions
-        included) stay distinct in the packed visited set. *)
+        [Bytes.equal (bytes (encode p a)) (bytes (encode p b))] iff
+        [Space.equal a b] — which is why distinct states (crafted hash
+        collisions included) stay distinct in the packed visited set.
+        [~parent:(c, encode p c)] interns only the slots the config
+        does not share physically with [c]; bytes, indices and the
+        pool's growth are exactly those of the parent-less encode. *)
 
     val decode : pool -> Bytes.t -> Space.config
     (** Exact inverse of {!encode} on the same pool. Raises
         [Invalid_argument] on bytes the pool cannot decode. *)
+
+    val export_pools : pool -> A.state array * A.message array
+    (** The state and message pools in index order, as a checkpoint
+        stores them. *)
   end
 end

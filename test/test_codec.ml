@@ -1,9 +1,12 @@
 (* Tests for the packed canonical-state codec (lib/mc/codec.ml +
    Mc.Make.Packed) and the campaign checkpoint machinery: varint and
-   container round-trips, pool interning, packed encode/decode as
-   verified inverses over sampled reachable configs, crafted hash
-   collisions through the packed striped table (spill included), and
-   kill/resume equality of checkpointed mc campaigns. *)
+   container round-trips, pool interning (deep-hash collisions
+   included), packed encode/decode as verified inverses over sampled
+   reachable configs, the incremental encode against the from-scratch
+   one, crafted hash collisions through the packed striped table
+   (spill included), a cross-commit golden of a DPOR campaign's pools
+   and packed keys, and kill/resume equality of checkpointed mc
+   campaigns. *)
 open Procset
 
 module M_anuc = Mc.Make (Core.Anuc)
@@ -87,6 +90,36 @@ let test_pool () =
   Alcotest.check_raises "bad index rejected"
     (Invalid_argument "Codec.Pool.get: bad index") (fun () ->
       ignore (Mc.Codec.Pool.get p 2))
+
+(* Two values that agree on every word the deep hash reads (it stops
+   after 150 meaningful words) and differ only behind them share a
+   hash, so the pool's structural-equality backstop alone keeps them
+   apart. *)
+let test_pool_collision_backstop () =
+  let a = List.init 200 Fun.id in
+  let b = List.init 200 (fun i -> if i = 199 then -1 else i) in
+  Alcotest.(check int)
+    "deep hashes collide"
+    (Hashtbl.hash_param 150 600 a)
+    (Hashtbl.hash_param 150 600 b);
+  let p = Mc.Codec.Pool.create () in
+  let ia = Mc.Codec.Pool.intern p a in
+  let ib = Mc.Codec.Pool.intern p b in
+  Alcotest.(check bool) "distinct indices" true (ia <> ib);
+  Alcotest.(check int) "re-intern finds the first" ia
+    (Mc.Codec.Pool.intern p a);
+  Alcotest.(check int) "re-intern finds the second" ib
+    (Mc.Codec.Pool.intern p b);
+  Alcotest.(check bool) "get inverts both" true
+    (Mc.Codec.Pool.get p ia = a && Mc.Codec.Pool.get p ib = b);
+  let exported = Mc.Codec.Pool.export p in
+  Alcotest.(check bool) "export in index order" true
+    (exported.(ia) = a && exported.(ib) = b);
+  let q = Mc.Codec.Pool.import exported in
+  Alcotest.(check (list int))
+    "import keeps both indices" [ ia; ib ]
+    [ Mc.Codec.Pool.intern q a; Mc.Codec.Pool.intern q b ];
+  Alcotest.(check int) "import adds nothing" 2 (Mc.Codec.Pool.length q)
 
 (* -------------------------------------------------------------- *)
 (* Container                                                      *)
@@ -173,6 +206,8 @@ let n = 3
 let faulty = Pset.singleton 2
 let proposals p = if Pset.mem p faulty then 1 else 0
 
+let packed pool cfg = M_anuc.Packed.(bytes (encode pool cfg))
+
 (* A deterministic random walk of [steps] moves from the initial
    config, collecting every config on the way. *)
 let walk_configs ~menu ~lossy ~steps seed =
@@ -196,14 +231,13 @@ let round_trip_walk ~menu ~lossy seed =
   let pool = M_anuc.Packed.create ~n in
   List.for_all
     (fun cfg ->
-      let b = M_anuc.Packed.encode pool cfg in
+      let b = packed pool cfg in
       let cfg' = M_anuc.Packed.decode pool b in
       M_anuc.Space.equal cfg cfg'
       (* hash stability: re-encoding yields the same bytes, hence the
          same FNV hash — the memo key is reproducible *)
-      && Bytes.equal b (M_anuc.Packed.encode pool cfg)
-      && Mc.Codec.bytes_hash b
-         = Mc.Codec.bytes_hash (M_anuc.Packed.encode pool cfg'))
+      && Bytes.equal b (packed pool cfg)
+      && Mc.Codec.bytes_hash b = Mc.Codec.bytes_hash (packed pool cfg'))
     (walk_configs ~menu ~lossy ~steps:25 seed)
 
 let test_packed_round_trip_qcheck =
@@ -226,7 +260,7 @@ let test_packed_injective () =
   let menu = Mc.Menu.contamination ~plus:true ~n ~faulty () in
   let pool = M_anuc.Packed.create ~n in
   let configs = walk_configs ~menu ~lossy:false ~steps:40 11 in
-  let packed = List.map (fun c -> (c, M_anuc.Packed.encode pool c)) configs in
+  let pairs = List.map (fun c -> (c, packed pool c)) configs in
   List.iter
     (fun (c1, b1) ->
       List.iter
@@ -235,8 +269,8 @@ let test_packed_injective () =
             "Bytes.equal iff Space.equal"
             (M_anuc.Space.equal c1 c2)
             (Bytes.equal b1 b2))
-        packed)
-    packed
+        pairs)
+    pairs
 
 let test_packed_decode_rejects_garbage () =
   let pool = M_anuc.Packed.create ~n in
@@ -246,6 +280,76 @@ let test_packed_decode_rejects_garbage () =
   match M_anuc.Packed.decode pool (Buffer.to_bytes buf) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "garbage bytes decoded"
+
+(* -------------------------------------------------------------- *)
+(* Incremental encode                                              *)
+(* -------------------------------------------------------------- *)
+
+(* [encode ~parent] against the parent-less [encode] at every enabled
+   move of random A_nuc walks: n = 3..5; contamination, lossy and
+   omega_sigma_nu_plus menus, so drops occur; FIFO and any delivery,
+   so a receive can take a message from behind a channel's head. Two
+   pools see the same configs: [inc] encodes each child from its
+   parent, [scr] from scratch. Their bytes must agree move by move and
+   their exports at the end, which pins the order indices are
+   assigned in. On [inc] itself the parent-less encode must give the
+   same bytes, and so must a parent that is a deep copy: it shares no
+   slot physically, so every slot takes the intern fallback. *)
+let incremental_encode_agrees (seed, n, menu_ix, fifo) =
+  let rng = Random.State.make [| 0xC0DE; seed; n; menu_ix |] in
+  let faulty = Pset.of_list (List.init ((n - 1) / 2) (fun i -> n - 1 - i)) in
+  let menu =
+    List.nth
+      [
+        Mc.Menu.contamination ~plus:true ~n ~faulty ();
+        Mc.Menu.lossy ~plus:true ~n ~faulty ();
+        Mc.Menu.omega_sigma_nu_plus ~n ~faulty;
+      ]
+      menu_ix
+  in
+  let delivery = if fifo then `Fifo else `Any in
+  let menus = Array.init n (fun p -> menu.Mc.Menu.values p) in
+  let inputs = Array.init n (fun _ -> Random.State.int rng 2) in
+  let inc = M_anuc.Packed.create ~n and scr = M_anuc.Packed.create ~n in
+  let ok = ref true in
+  let same im b =
+    if not (Bytes.equal (M_anuc.Packed.bytes im) b) then ok := false
+  in
+  let rec go cfg im k =
+    let copy : M_anuc.Space.config =
+      Marshal.from_string (Marshal.to_string cfg []) 0
+    in
+    let children =
+      List.map
+        (fun mv ->
+          let child = M_anuc.Space.apply ~n cfg mv in
+          let ic = M_anuc.Packed.encode ~parent:(cfg, im) inc child in
+          same ic (packed scr child);
+          same ic (packed inc child);
+          same (M_anuc.Packed.encode ~parent:(copy, im) inc child)
+            (M_anuc.Packed.bytes ic);
+          (child, ic))
+        (M_anuc.Space.enabled ~n ~delivery ~lossy:menu.Mc.Menu.lossy ~menus
+           cfg)
+    in
+    if k > 0 && children <> [] then
+      let child, ic =
+        List.nth children (Random.State.int rng (List.length children))
+      in
+      go child ic (k - 1)
+  in
+  let root = M_anuc.Space.initial ~n ~inputs:(Array.get inputs) in
+  let im = M_anuc.Packed.encode inc root in
+  same im (packed scr root);
+  go root im 20;
+  !ok && M_anuc.Packed.export_pools inc = M_anuc.Packed.export_pools scr
+
+let test_incremental_encode_qcheck =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"encode ~parent = encode, same pool growth"
+       ~count:40
+       QCheck.(quad small_nat (int_range 3 5) (int_bound 2) bool)
+       incremental_encode_agrees)
 
 (* -------------------------------------------------------------- *)
 (* Crafted hash collisions through the packed striped table        *)
@@ -402,6 +506,91 @@ let test_checkpoint_completed_campaign () =
       Alcotest.(check bool)
         "no violation on resume" true (resumed.M_anuc.violation = None))
 
+(* -------------------------------------------------------------- *)
+(* Cross-commit golden                                             *)
+(* -------------------------------------------------------------- *)
+
+(* An E_1(3) contamination-menu DPOR campaign pinned to figures
+   recorded before the encoder became incremental: the sequential
+   walker's counters (its no-op memo is keyed by pool index, so
+   [self_loops] pins it too), and the checkpointed walker's counters,
+   pool lengths, and MD5s of its exported pools and sorted packed
+   keys — so a change to the bytes a state packs to, or to the order
+   pool indices are assigned in, fails here. A change that
+   legitimately moves them must say why and re-record them. *)
+
+(* The record [run ~checkpoint] writes, field for field; only the
+   pools and the visited keys are read. A checkpoint written before
+   this pin must still resume, so the layout is part of it. *)
+type golden_ckpt = {
+  g_fp : Obj.t;
+  g_states : Core.Anuc.state array;
+  g_msgs : Core.Anuc.message array;
+  g_visited : (int * Bytes.t * Obj.t) array;
+  g_tasks : Obj.t;
+  g_next : int;
+  g_counts : int array;
+}
+
+let golden_run ?checkpoint () =
+  let depth = 7 in
+  let pattern = Sim.Failure_pattern.make ~n ~crashes:[ (2, depth + 1) ] in
+  let menu = Mc.Menu.contamination ~plus:true ~n ~faulty () in
+  let props =
+    M_anuc.consensus_props ~decision:Core.Anuc.decision ~proposals
+      ~flavour:Consensus.Spec.Nonuniform ~pattern
+  in
+  let stop =
+    M_anuc.decided_stop ~decision:Core.Anuc.decision
+      ~scope:(Sim.Failure_pattern.correct pattern)
+  in
+  M_anuc.run ~reduction:Mc.Dpor ~n ~menu ~depth ~inputs:proposals ~props
+    ~stop ?checkpoint ()
+
+let golden_counters (s : Mc.stats) =
+  [
+    s.Mc.transitions; s.Mc.distinct_states; s.Mc.self_loops;
+    s.Mc.sleep_skipped; s.Mc.races; s.Mc.backtracks;
+  ]
+
+let test_golden_dpor_campaign () =
+  let seq = golden_run () in
+  Alcotest.(check (list int))
+    "sequential (transitions, states, self-loops, sleep-skipped, races, \
+     backtracks)"
+    [ 19534; 10332; 13409; 18545; 26607; 8994 ]
+    (golden_counters seq.M_anuc.stats);
+  with_temp (fun path ->
+      let ck = golden_run ~checkpoint:(path, max_int) () in
+      Alcotest.(check (list int))
+        "checkpointed (transitions, states, self-loops, sleep-skipped, \
+         races, backtracks)"
+        [ 18503; 10332; 12777; 17572; 25026; 8310 ]
+        (golden_counters ck.M_anuc.stats);
+      match (Mc.Codec.read_file ~path ~version:1 : (golden_ckpt, _) result) with
+      | Error e -> Alcotest.failf "read: %s" (Mc.Codec.error_to_string e)
+      | Ok c ->
+        let md5 v = Digest.to_hex (Digest.string v) in
+        let keys =
+          List.sort Bytes.compare
+            (Array.to_list (Array.map (fun (_, b, _) -> b) c.g_visited))
+        in
+        Alcotest.(check (list int))
+          "pool lengths (states, messages), visited keys" [ 324; 16; 10332 ]
+          [ Array.length c.g_states; Array.length c.g_msgs; List.length keys ];
+        Alcotest.(check string)
+          "MD5 of the exported pools" "bf218930dc02db0fe49a428d7b907846"
+          (md5
+             (Marshal.to_string (c.g_states, c.g_msgs) [ Marshal.No_sharing ]));
+        Alcotest.(check string)
+          "MD5 of the sorted packed keys" "3334aa4700c3b916dab89667ef1b717f"
+          (md5
+             (String.concat ""
+                (List.map
+                   (fun b ->
+                     Printf.sprintf "%d:%s" (Bytes.length b) (Bytes.to_string b))
+                   keys))))
+
 let () =
   Alcotest.run "codec"
     [
@@ -414,7 +603,12 @@ let () =
         ] );
       ( "hash",
         [ Alcotest.test_case "FNV over all bytes" `Quick test_bytes_hash ] );
-      ("pool", [ Alcotest.test_case "intern/get/export/import" `Quick test_pool ]);
+      ( "pool",
+        [
+          Alcotest.test_case "intern/get/export/import" `Quick test_pool;
+          Alcotest.test_case "deep-hash collisions keep distinct indices"
+            `Quick test_pool_collision_backstop;
+        ] );
       ( "container",
         [
           Alcotest.test_case "round-trip" `Quick test_container_round_trip;
@@ -432,6 +626,7 @@ let () =
             test_packed_injective;
           Alcotest.test_case "garbage bytes rejected" `Quick
             test_packed_decode_rejects_garbage;
+          test_incremental_encode_qcheck;
         ] );
       ( "collisions",
         [
@@ -439,6 +634,11 @@ let () =
             test_striped_collisions_distinct;
           Alcotest.test_case "collisions through spill" `Quick
             test_striped_collisions_through_spill;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "A_nuc DPOR campaign matches its golden" `Quick
+            test_golden_dpor_campaign;
         ] );
       ( "checkpoint",
         [
